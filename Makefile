@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check check bench bench-hot bench-serve bench-gencorpus bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check
+.PHONY: all build test vet fmt-check check bench bench-hot perfbench race fuzz chaos cluster-chaos gencorpus-check
 
 all: check
 
@@ -68,36 +68,13 @@ bench-hot:
 	$(GO) test -run XXX -benchmem -timeout 3600s \
 		-bench 'BenchmarkTable4ESPCrossVal|BenchmarkNeuralTrainSparse|BenchmarkInterpProfile|BenchmarkInterpretTomcatv' .
 
-# bench-json regenerates the machine-readable BENCH_<name>.json results
-# that CI uploads as artifacts. BENCH_profile.json is committed as the
-# baseline for the profiling hot path.
-bench-json:
-	$(GO) run ./cmd/espbench -bench all -benchout .
-
-# bench-serve measures the serving request path — the committed float
-# pipeline (encoding/json + float64 forward) against the quantized
-# zero-allocation arena pipeline — and regenerates BENCH_serve.json,
-# committed as the baseline the >=5x acceptance test guards.
-bench-serve:
-	$(GO) run ./cmd/espbench -serve -benchout .
-
-# bench-gencorpus measures the generative-corpus pipeline (generation,
-# cold/warm analysis through the artifact cache, streaming training) and
-# regenerates BENCH_gencorpus.json, committed as the throughput baseline.
-bench-gencorpus:
-	$(GO) run ./cmd/espbench -gencorpus -benchout .
-
-# bench-pgo runs the ESP-guided optimization study (simulated cycles of
-# unguided vs ESP/heuristic/perfect-guided binaries over the whole corpus
-# plus a generated slice) and regenerates BENCH_pgo.json, committed as the
-# guided-optimization baseline.
-bench-pgo:
-	$(GO) run ./cmd/espbench -pgo -benchout .
-
-# bench-hwsim runs the hardware-predictor co-simulation (dynamic
-# 1-bit/2-bit/gshare/TAGE counters seeded from each static hint source,
-# steady-state and cold-start) plus the branch-predictability taxonomy over
-# the whole corpus and a generated slice, and regenerates BENCH_hwsim.json,
-# committed as the co-simulation baseline.
-bench-hwsim:
-	$(GO) run ./cmd/espbench -hwsim -benchout .
+# perfbench checks the repo's one benchmark (BENCHMARK.json) end to end:
+# it vets and self-tests the perfbench module, which root `go test ./...`
+# never reaches, then runs every workload briefly. A run fails only when
+# its own output checks fail, never on a number; compare numbers across
+# commits with full-length runs of bash perfbench/run.sh.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
+	@for w in analyze loo-train optimize serve-routed; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done

@@ -9,30 +9,15 @@
 //	espbench -ablations        # design-choice ablations
 //	espbench -orders           # exhaustive APHC order search
 //
-// With -bench it instead runs micro-benchmarks of the pipeline hot paths
-// and writes machine-readable BENCH_<name>.json files:
+// Three follow-on studies are opt-in only, because they are too costly for
+// the default everything-run:
 //
-//	espbench -bench all -benchout .
-//	espbench -bench parse,forward -benchout bench/
+//	espbench -figure2b         # corpus size on generated programs
+//	espbench -pgo              # ESP-guided optimization, simulated cycles
+//	espbench -hwsim            # hardware-predictor co-simulation + taxonomy
 //
-// With -serve it benchmarks the serving request path — the committed float
-// pipeline against the quantized zero-allocation arena pipeline — and
-// writes BENCH_serve.json:
-//
-//	espbench -serve -benchout .
-//
-// With -pgo it runs the ESP-guided optimization study (simulated cycles of
-// unguided vs ESP/heuristic/perfect-guided binaries) and writes
-// BENCH_pgo.json:
-//
-//	espbench -pgo -benchout .
-//
-// With -hwsim it co-simulates dynamic hardware predictors (1-bit, 2-bit,
-// gshare, TAGE) over the corpus branch streams, seeding their counters from
-// each static hint source, alongside the branch-predictability taxonomy,
-// and writes BENCH_hwsim.json:
-//
-//	espbench -hwsim -benchout .
+// Performance is measured by the repo's one benchmark (BENCHMARK.json,
+// run with bash perfbench/run.sh), not by this command.
 package main
 
 import (
@@ -47,6 +32,10 @@ import (
 	"repro/internal/experiments"
 )
 
+// studyGenN is the generated-program slice the -pgo and -hwsim studies add
+// to the corpus (EXPERIMENTS.md documents N = 10).
+const studyGenN = 10
+
 func main() {
 	table := flag.Int("table", 0, "render one table (1-7)")
 	figure := flag.Int("figure", 0, "render one figure (1-2)")
@@ -54,20 +43,13 @@ func main() {
 	corpusSize := flag.Bool("corpussize", false, "run the corpus-size study")
 	figure2b := flag.Bool("figure2b", false, "run the Figure 2b generated-corpus-size study (opt-in: trains on up to -gen-max programs)")
 	genMax := flag.Int("gen-max", 4000, "largest generated corpus size for -figure2b")
-	genBench := flag.Bool("gencorpus", false, "benchmark the generative-corpus pipeline and write BENCH_gencorpus.json")
 	ablations := flag.Bool("ablations", false, "run the ESP design ablations")
 	orders := flag.Bool("orders", false, "run the exhaustive APHC order search")
 	profileEst := flag.Bool("profileest", false, "run the Section 6 profile-estimation study")
-	pgoStudy := flag.Bool("pgo", false, "run the ESP-guided optimization study and write BENCH_pgo.json")
-	pgoGen := flag.Int("pgo-gen", 10, "generated programs in the -pgo study slice")
-	hwsim := flag.Bool("hwsim", false, "run the hardware-predictor co-simulation and predictability taxonomy and write BENCH_hwsim.json")
-	hwsimGen := flag.Int("hwsim-gen", 10, "generated programs in the -hwsim study slice")
+	pgoStudy := flag.Bool("pgo", false, "run the ESP-guided optimization study (opt-in)")
+	hwsim := flag.Bool("hwsim", false, "run the hardware-predictor co-simulation and predictability taxonomy (opt-in)")
 	hidden := flag.Int("hidden", 0, "override ESP hidden-layer width")
 	seed := flag.Uint64("seed", 0, "override ESP training seed")
-	bench := flag.String("bench", "", "run micro-benchmarks (comma-separated names or \"all\") instead of experiments")
-	serveBench := flag.Bool("serve", false, "benchmark the serving request path (float baseline vs quantized arena pipeline) and write BENCH_serve.json")
-	stages := flag.Bool("stages", false, "time the analysis pipeline per stage (compile/trace/featurize/train) and write BENCH_stages.json")
-	benchout := flag.String("benchout", ".", "directory for BENCH_<name>.json files")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (default $ESPCACHE_DIR, else .espcache)")
 	noCache := flag.Bool("no-cache", false, "disable the persistent analysis cache")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -101,35 +83,6 @@ func main() {
 		}()
 	}
 
-	if *bench != "" {
-		if err := runBenchSuite(*bench, *benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveBench {
-		if err := runServeBench(*benchout, core.Config{Hidden: *hidden, Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *stages {
-		if err := runStages(*benchout, core.Config{Hidden: *hidden, Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *genBench {
-		if err := runGencorpusBench(*benchout, core.Config{Hidden: *hidden, Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var cache *artifact.Cache
 	if !*noCache {
 		var err error
@@ -141,21 +94,7 @@ func main() {
 	}
 	ctx := experiments.NewContextWithCache(cache)
 	espCfg := core.Config{Hidden: *hidden, Seed: *seed}
-	if *pgoStudy {
-		if err := runPGOStudy(ctx, espCfg, *pgoGen, *benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hwsim {
-		if err := runHwsimStudy(ctx, espCfg, *hwsimGen, *benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	any := *table != 0 || *figure != 0 || *scheme || *corpusSize || *figure2b || *ablations || *orders || *profileEst
+	any := *table != 0 || *figure != 0 || *scheme || *corpusSize || *figure2b || *ablations || *orders || *profileEst || *pgoStudy || *hwsim
 
 	run := func(name string, f func() (string, error)) {
 		out, err := f()
@@ -263,6 +202,28 @@ func main() {
 				return "", err
 			}
 			return r.Render(), nil
+		})
+	}
+	if *pgoStudy {
+		run("pgo study", func() (string, error) {
+			r, err := experiments.PGOStudy(ctx, espCfg, studyGenN)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		})
+	}
+	if *hwsim {
+		run("hwsim study", func() (string, error) {
+			hw, err := experiments.HwsimStudy(ctx, espCfg, studyGenN)
+			if err != nil {
+				return "", err
+			}
+			tax, err := experiments.TaxonomyStudy(ctx, studyGenN)
+			if err != nil {
+				return "", err
+			}
+			return hw.Render() + "\n" + tax.Render(), nil
 		})
 	}
 	if !any || *ablations {

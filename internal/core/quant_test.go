@@ -193,8 +193,8 @@ func TestQuantZeroAllocPrediction(t *testing.T) {
 }
 
 // BenchmarkPredictFloat/BenchmarkPredictQuant measure the serving forward
-// path per prediction — the ratio is the quantization speedup espbench
-// -serve records in BENCH_serve.json.
+// path per prediction — the ratio is the quantization speedup of the
+// forward pass alone.
 func benchQuantModel(b *testing.B) (*Model, []features.Vector) {
 	b.Helper()
 	data := []*ProgramData{

@@ -140,7 +140,7 @@ func profileEstForTest(t *testing.T) *ProfileEstimationResult {
 }
 
 // pgoForTest runs the guided-optimization study with a small generated
-// slice; espbench -pgo uses a larger one for the committed BENCH artifact.
+// slice; espbench -pgo renders it with a larger one (N = 10).
 func pgoForTest(t *testing.T) *PGOStudyResult {
 	ctx := ctxForTest(t)
 	return memoPGO.get(t, func() (*PGOStudyResult, error) {
@@ -149,7 +149,7 @@ func pgoForTest(t *testing.T) *PGOStudyResult {
 }
 
 // hwsimForTest runs the hardware co-simulation study with a small generated
-// slice; espbench -hwsim uses a larger one for the committed BENCH artifact.
+// slice; espbench -hwsim renders it with a larger one (N = 10).
 func hwsimForTest(t *testing.T) *HwsimStudyResult {
 	ctx := ctxForTest(t)
 	return memoHwsim.get(t, func() (*HwsimStudyResult, error) {

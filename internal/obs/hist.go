@@ -4,6 +4,10 @@
 // handful of atomic operations — no locks, no allocation — so the
 // instrumentation can ride inside the serving loop without perturbing the
 // latencies it measures.
+//
+// Histograms export raw buckets, sum and count and compute no quantiles
+// in process: a bucket-interpolated quantile can read above the largest
+// real observation, so percentiles are left to whoever scrapes /metrics.
 package obs
 
 import (
@@ -41,7 +45,7 @@ func bucketOf(v int64) int {
 
 // Histogram is a fixed-bucket log-spaced latency histogram safe for
 // concurrent writers. Observe is three atomic adds; readers take a Snapshot
-// and compute quantiles from it. The zero value is ready to use.
+// and export its buckets, sum and count. The zero value is ready to use.
 type Histogram struct {
 	counts [NumBuckets]atomic.Int64
 	sum    atomic.Int64
@@ -77,63 +81,9 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Quantile is shorthand for Snapshot().Quantile(q).
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
 // Snapshot is a point-in-time copy of a Histogram.
 type Snapshot struct {
 	Counts [NumBuckets]int64
 	Sum    int64
 	Count  int64
-}
-
-// Quantile extracts the q-quantile from the bucket counts, in microseconds,
-// interpolating linearly within the bucket that holds the rank (the
-// Prometheus histogram_quantile rule). q is clamped to [0, 1]: q <= 0
-// reports the lower bound of the lowest occupied bucket and q = 1 the upper
-// bound of the highest. Observations that landed in the +Inf bucket report
-// that bucket's finite lower bound (2^26µs). Returns 0 for an empty
-// histogram.
-func (s Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = BucketBound(i - 1)
-			}
-			if i == NumBuckets-1 {
-				return lower // +Inf bucket: report its finite lower bound
-			}
-			upper := BucketBound(i)
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-	}
-	return BucketBound(NumBuckets - 2)
-}
-
-// Mean returns the mean observation in microseconds (0 when empty).
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -58,112 +58,6 @@ func TestHistogramCountsAndSum(t *testing.T) {
 	}
 }
 
-func TestQuantileExtraction(t *testing.T) {
-	var h Histogram
-	if q := h.Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram p50 = %g", q)
-	}
-	// 100 observations of exactly 8µs: every quantile must stay inside the
-	// (4, 8] bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(8)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got := h.Quantile(q)
-		if got <= 4 || got > 8 {
-			t.Errorf("p%g = %g, want in (4, 8]", q*100, got)
-		}
-	}
-	// Add a heavy tail: 10 observations near 1s. p50 stays low, p99 jumps.
-	for i := 0; i < 10; i++ {
-		h.Observe(1_000_000)
-	}
-	if p50 := h.Quantile(0.5); p50 > 8 {
-		t.Errorf("p50 = %g after tail, want <= 8", p50)
-	}
-	if p99 := h.Quantile(0.99); p99 <= 512*1024 {
-		t.Errorf("p99 = %g, want in the ~1s bucket", p99)
-	}
-	// Quantiles are monotone in q.
-	prev := 0.0
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Errorf("quantile not monotone: p%g=%g < %g", q*100, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestQuantileInfBucket(t *testing.T) {
-	var h Histogram
-	h.Observe(int64(1) << 30) // beyond the last finite bound
-	if got, want := h.Quantile(0.99), BucketBound(NumBuckets-2); got != want {
-		t.Errorf("p99 of an overflow-only histogram = %g, want %g", got, want)
-	}
-}
-
-// TestQuantileClampsQ pins the documented clamping of q to [0, 1]: q <= 0
-// reports the lower bound of the lowest occupied bucket, q >= 1 the upper
-// bound of the highest, and out-of-range inputs behave like the nearest
-// endpoint rather than panicking or extrapolating.
-func TestQuantileClampsQ(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 10; i++ {
-		h.Observe(8) // the (4, 8] bucket
-	}
-	for _, q := range []float64{-1, 0} {
-		if got := h.Quantile(q); got != 4 {
-			t.Errorf("Quantile(%g) = %g, want the bucket's lower bound 4", q, got)
-		}
-	}
-	for _, q := range []float64{1, 2} {
-		if got := h.Quantile(q); got != 8 {
-			t.Errorf("Quantile(%g) = %g, want the bucket's upper bound 8", q, got)
-		}
-	}
-	// Empty histogram: every q, in range or not, reports 0.
-	var empty Histogram
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%g) = %g, want 0", q, got)
-		}
-	}
-}
-
-// TestQuantileAllInOverflow puts every observation in the +Inf bucket: the
-// whole quantile range must collapse to that bucket's finite lower bound —
-// never +Inf, never an interpolated value past the last finite bound.
-func TestQuantileAllInOverflow(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Observe(int64(1)<<27 + int64(i))
-	}
-	want := BucketBound(NumBuckets - 2)
-	for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got != want {
-			t.Errorf("Quantile(%g) = %g, want the +Inf bucket's lower bound %g", q, got, want)
-		}
-		if math.IsInf(got, 1) {
-			t.Errorf("Quantile(%g) leaked +Inf", q)
-		}
-	}
-}
-
-// TestQuantileSingleObservation: one observation in one bucket must keep
-// every quantile inside that bucket's bounds.
-func TestQuantileSingleObservation(t *testing.T) {
-	var h Histogram
-	h.Observe(100) // the (64, 128] bucket
-	for _, q := range []float64{0, 0.5, 1} {
-		got := h.Quantile(q)
-		if got < 64 || got > 128 {
-			t.Errorf("Quantile(%g) = %g, want within (64, 128]", q, got)
-		}
-	}
-}
-
 // TestHistogramConcurrentWriters hammers one histogram from many goroutines
 // (run under -race in CI) and checks nothing is lost.
 func TestHistogramConcurrentWriters(t *testing.T) {
@@ -193,7 +87,6 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 				t.Error("negative snapshot")
 				return
 			}
-			_ = s.Quantile(0.99)
 		}
 	}()
 	wg.Wait()

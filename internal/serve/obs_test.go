@@ -481,12 +481,9 @@ func TestDebugRequestsTraces(t *testing.T) {
 		}
 	}
 
-	// The latency histograms saw the traffic: non-zero quantiles.
-	if p50 := s.metrics.endpoint("predict").latency.Quantile(0.5); p50 <= 0 {
-		t.Errorf("predict p50 = %g after traffic", p50)
-	}
-	if p99 := s.metrics.endpoint("predict").latency.Quantile(0.99); p99 <= 0 {
-		t.Errorf("predict p99 = %g after traffic", p99)
+	// The latency histograms saw the traffic.
+	if lat := &s.metrics.endpoint("predict").latency; lat.Count() == 0 || lat.Sum() <= 0 {
+		t.Errorf("predict latency histogram count=%d sum=%dµs after traffic", lat.Count(), lat.Sum())
 	}
 	if s.metrics.queueWait.Count() == 0 {
 		t.Error("queue-wait histogram never observed")

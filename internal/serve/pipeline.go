@@ -13,8 +13,8 @@ import (
 // HTTP plumbing around it: arena decode → pooled batch submit →
 // hand-rendered response. The response bytes are appended to out (reusing
 // its capacity; pass nil to allocate) and returned. This is the unit
-// espbench -serve measures and the load test's throughput assertion drives;
-// the /predict handler wraps exactly these stages.
+// TestQuantServePipelineSpeedup measures and the load test's throughput
+// assertion drives; the /predict handler wraps exactly these stages.
 //
 // body must be a well-formed vectors-only request ({"id": ..., "vectors":
 // [[...], ...]}); anything else is an error here rather than a silent fall
@@ -41,10 +41,10 @@ func (s *Server) PredictPipeline(ctx context.Context, body, out []byte) ([]byte,
 
 // PredictPipelineReference runs the same request through the pre-arena
 // pipeline: encoding/json decode, features.FromValues, a per-request job
-// allocation, encoding/json response. This is the committed float-era
-// request path, preserved verbatim as the baseline for BENCH_serve.json's
-// speedup ratio — and it is still the live slow path for requests the
-// arena scanner doesn't own.
+// allocation, encoding/json response. This is the float-era request path,
+// preserved verbatim as the oracle and baseline for
+// TestQuantServePipelineSpeedup's ratio — and it is still the live slow
+// path for requests the arena scanner doesn't own.
 func (s *Server) PredictPipelineReference(ctx context.Context, body []byte) ([]byte, error) {
 	var req PredictRequest
 	if err := json.Unmarshal(body, &req); err != nil {

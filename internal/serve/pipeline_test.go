@@ -75,13 +75,12 @@ func TestPredictPipelineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestQuantServePipelineSpeedup is the PR's acceptance measurement: the
-// quantized arena pipeline must serve ≥ 5x the predictions/sec/core of the
-// committed float baseline (encoding/json + float64 forward), with zero
-// steady-state allocations. Runs in the race-enabled CI load matrix — both
-// pipelines carry the instrumentation, so the ratio survives it; the alloc
-// assertion alone needs a plain build. espbench -serve records the same
-// two measurements in BENCH_serve.json.
+// TestQuantServePipelineSpeedup guards the quantized serving path: the
+// arena pipeline must serve ≥ 5x the predictions/sec/core of the float
+// baseline (encoding/json + float64 forward), with zero steady-state
+// allocations. Runs in the race-enabled CI load matrix — both pipelines
+// carry the instrumentation, so the ratio survives it; the alloc assertion
+// alone needs a plain build.
 func TestQuantServePipelineSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline speedup measurement in short mode")
@@ -119,7 +118,7 @@ func TestQuantServePipelineSpeedup(t *testing.T) {
 	// Race instrumentation taxes the compute-bound int8 path per memory
 	// access while the json path's cost is mostly allocation, so the race
 	// build compresses the ratio; it keeps a regression tripwire while the
-	// plain build (what espbench -serve records) asserts the real bound.
+	// plain build asserts the real bound.
 	want := 5.0
 	if testutil.RaceEnabled {
 		want = 2.0
