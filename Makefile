@@ -18,9 +18,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race runs the data-race detector over the concurrent packages (parallel
-# cross-validation folds, sharded training, the prediction scratch pool,
-# the espserve batching worker pool, and concurrent artifact-cache
-# readers/writers).
+# cross-validation folds, parallel leave-one-out training, the prediction
+# scratch pool, the espserve batching worker pool, and concurrent
+# artifact-cache readers/writers).
 race:
 	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim
 
@@ -62,11 +62,12 @@ bench:
 	$(GO) test -bench . -benchmem -timeout 3600s .
 
 # bench-hot runs just the hot-path benchmarks this repo optimizes: ESP
-# cross-validation, sparse neural training, and profile collection (the
-# micro-op interpreter on espresso and tomcatv).
+# cross-validation, sparse neural training (synthetic, and one real
+# leave-one-out fold in ms/epoch), and profile collection (the micro-op
+# interpreter on espresso and tomcatv).
 bench-hot:
 	$(GO) test -run XXX -benchmem -timeout 3600s \
-		-bench 'BenchmarkTable4ESPCrossVal|BenchmarkNeuralTrainSparse|BenchmarkInterpProfile|BenchmarkInterpretTomcatv' .
+		-bench 'BenchmarkTable4ESPCrossVal|BenchmarkNeuralTrainSparse|BenchmarkNeuralTrainFold|BenchmarkInterpProfile|BenchmarkInterpretTomcatv' .
 
 # perfbench checks the repo's one benchmark (BENCHMARK.json) end to end:
 # it vets and self-tests the perfbench module, which root `go test ./...`

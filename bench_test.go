@@ -380,6 +380,26 @@ func BenchmarkNeuralTrainSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkNeuralTrainFold trains one real leave-one-out model with the
+// default core.Config: the Fortran group with doduc held out. It reports
+// training time per epoch, so a regression in the training kernel shows up
+// here rather than only in cross-validation wall clock.
+func BenchmarkNeuralTrainFold(b *testing.B) {
+	ctx := sharedCtx(b)
+	group, err := ctx.LanguageData(ir.LangFortran, codegen.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train := group[1:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	epochs := 0
+	for i := 0; i < b.N; i++ {
+		epochs += core.Train(train, core.Config{}).TrainStats.Epochs
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(epochs), "ms/epoch")
+}
+
 // BenchmarkInterpProfile measures profile collection end to end on the
 // espresso workload (map-free branch counting in the dispatch loop).
 func BenchmarkInterpProfile(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/codegen"
@@ -145,6 +146,80 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("{}"))); err == nil {
 		t.Error("Load accepted an empty model")
+	}
+}
+
+// TestLoadRejectsInconsistentNet: a model file whose net does not fit
+// together, or does not fit its encoder, fails at load time instead of
+// panicking on the first prediction.
+func TestLoadRejectsInconsistentNet(t *testing.T) {
+	train := []*ProgramData{analyzeSrc(t, "a", loopy, nil)}
+	model := Train(train, Config{})
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	// net builds a serialized net with the given shape and vector lengths.
+	net := func(inputs, hidden, nb, nv int) json.RawMessage {
+		w := make([][]float64, max(hidden, 0))
+		for i := range w {
+			w[i] = make([]float64, max(inputs, 0))
+		}
+		raw, err := json.Marshal(map[string]any{"inputs": inputs, "hidden": hidden,
+			"w": w, "b": make([]float64, nb), "v": make([]float64, nv), "a": 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	d, h := model.Encoder.Dim, model.Net.Hidden
+	for _, tc := range []struct {
+		name string
+		net  json.RawMessage
+		ok   bool
+	}{
+		{"well-formed", net(d, h, h, h), true},
+		{"short b", net(d, h, h-1, h), false},
+		{"long b", net(d, h, h+1, h), false},
+		{"short v", net(d, h, h, h-1), false},
+		{"long v", net(d, h, h, h+1), false},
+		{"zero hidden", net(d, 0, 0, 0), false},
+		{"negative hidden", net(d, -1, 0, 0), false},
+		{"negative inputs", net(-1, h, h, h), false},
+		{"more inputs than encoder columns", net(d+1, h, h, h), false},
+		{"fewer inputs than encoder columns", net(d-1, h, h, h), false},
+	} {
+		file["net"] = tc.net
+		raw, err := json.Marshal(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(bytes.NewReader(raw))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Load error = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err == nil {
+			back.TakenProbability(train[0].Vectors[0])
+		}
+	}
+
+	// A model trained with every feature hidden has a 0-column encoder and
+	// a 0-input net; it stays loadable.
+	all := make([]int, features.NumFeatures)
+	for i := range all {
+		all[i] = i
+	}
+	buf.Reset()
+	if err := Train(train, Config{ExcludeFeatures: all}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err != nil {
+		t.Errorf("0-input model: %v", err)
 	}
 }
 

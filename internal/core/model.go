@@ -470,5 +470,8 @@ func Load(r io.Reader) (*Model, error) {
 	if m.Net == nil && m.Tree == nil && m.MBR == nil {
 		return nil, fmt.Errorf("core: model file has no classifier")
 	}
+	if m.Net != nil && m.Net.Inputs != m.Encoder.Dim {
+		return nil, fmt.Errorf("core: net has %d inputs, encoder has %d columns", m.Net.Inputs, m.Encoder.Dim)
+	}
 	return m, nil
 }

@@ -77,15 +77,16 @@ func (c *Context) Data(e corpus.Entry, tgt codegen.Target) (*core.ProgramData, e
 	return st.pd, st.err
 }
 
-// Batch analyzes a set of entries under one target, in parallel, with
-// fan-out bounded to GOMAXPROCS workers: profiling is CPU-bound, so more
-// goroutines than processors only adds scheduling and memory pressure.
-func (c *Context) Batch(entries []corpus.Entry, tgt codegen.Target) ([]*core.ProgramData, error) {
-	out := make([]*core.ProgramData, len(entries))
-	errs := make([]error, len(entries))
+// parallelFor calls f(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines and returns once every call has finished. The work it runs
+// (profiling, training, simulation) is CPU-bound, so more goroutines than
+// processors only adds scheduling and memory pressure. Callers store results
+// by index and reduce them afterwards in index order, so the outcome never
+// depends on scheduling.
+func parallelFor(n int, f func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
+	if workers > n {
+		workers = n
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -94,15 +95,25 @@ func (c *Context) Batch(entries []corpus.Entry, tgt codegen.Target) ([]*core.Pro
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i], errs[i] = c.Data(entries[i], tgt)
+				f(i)
 			}
 		}()
 	}
-	for i := range entries {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// Batch analyzes a set of entries under one target, in parallel
+// (parallelFor).
+func (c *Context) Batch(entries []corpus.Entry, tgt codegen.Target) ([]*core.ProgramData, error) {
+	out := make([]*core.ProgramData, len(entries))
+	errs := make([]error, len(entries))
+	parallelFor(len(entries), func(i int) {
+		out[i], errs[i] = c.Data(entries[i], tgt)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", entries[i].Name, err)

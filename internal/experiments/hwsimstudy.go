@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -103,31 +101,14 @@ func HwsimStudy(ctx *Context, espCfg core.Config, genN int) (*HwsimStudyResult, 
 
 	perProg := make([][]*hwsim.Counter, len(entries))
 	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				e := entries[i]
-				m := models[e.Name]
-				if m == nil {
-					m = cModel // generated programs: full-C-group model
-				}
-				perProg[i], errs[i] = hwsimProgram(e, m)
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	parallelFor(len(entries), func(i int) {
+		e := entries[i]
+		m := models[e.Name]
+		if m == nil {
+			m = cModel // generated programs: full-C-group model
+		}
+		perProg[i], errs[i] = hwsimProgram(e, m)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hwsim: %s: %w", entries[i].Name, err)

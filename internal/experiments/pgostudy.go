@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -89,31 +87,14 @@ func PGOStudy(ctx *Context, espCfg core.Config, genN int) (*PGOStudyResult, erro
 
 	rows := make([]PGORow, len(entries))
 	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				e := entries[i]
-				m := models[e.Name]
-				if m == nil {
-					m = cModel // generated programs: full-C-group model
-				}
-				rows[i], errs[i] = pgoRow(e, m)
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	parallelFor(len(entries), func(i int) {
+		e := entries[i]
+		m := models[e.Name]
+		if m == nil {
+			m = cModel // generated programs: full-C-group model
+		}
+		rows[i], errs[i] = pgoRow(e, m)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pgo: %s: %w", entries[i].Name, err)
@@ -139,37 +120,37 @@ func PGOStudy(ctx *Context, espCfg core.Config, genN int) (*PGOStudyResult, erro
 // pgoModels trains the leave-one-out ESP models for every real corpus
 // program, plus the full-C-group model used for generated programs.
 func pgoModels(ctx *Context, espCfg core.Config) (map[string]*core.Model, *core.Model, error) {
-	models := make(map[string]*core.Model)
-	var cGroup []*core.ProgramData
-	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
-		group, err := ctx.LanguageData(lang, codegen.Default)
-		if err != nil {
-			return nil, nil, err
-		}
-		if lang == ir.LangC {
-			cGroup = group
-		}
-		looTrain(models, group, espCfg)
+	cGroup, err := ctx.LanguageData(ir.LangC, codegen.Default)
+	if err != nil {
+		return nil, nil, err
+	}
+	fortranGroup, err := ctx.LanguageData(ir.LangFortran, codegen.Default)
+	if err != nil {
+		return nil, nil, err
 	}
 	schemeGroup, err := ctx.Batch(corpus.BySuite(corpus.SuiteScheme), codegen.Default)
 	if err != nil {
 		return nil, nil, err
 	}
-	looTrain(models, schemeGroup, espCfg)
+	models := make(map[string]*core.Model)
+	for _, group := range [][]*core.ProgramData{cGroup, fortranGroup, schemeGroup} {
+		for i, m := range looTrain(group, espCfg) {
+			models[group[i].Name] = m
+		}
+	}
 	return models, core.Train(cGroup, espCfg), nil
 }
 
-// looTrain trains one held-out model per group member into models.
-func looTrain(models map[string]*core.Model, group []*core.ProgramData, cfg core.Config) {
-	for hold := range group {
-		var train []*core.ProgramData
-		for j, pd := range group {
-			if j != hold {
-				train = append(train, pd)
-			}
-		}
-		models[group[hold].Name] = core.Train(train, cfg)
-	}
+// looTrain trains one model per group member with that member held out, in
+// parallel (parallelFor); models[i] is group[i]'s held-out model.
+func looTrain(group []*core.ProgramData, cfg core.Config) []*core.Model {
+	models := make([]*core.Model, len(group))
+	parallelFor(len(group), func(hold int) {
+		train := make([]*core.ProgramData, 0, len(group)-1)
+		train = append(train, group[:hold]...)
+		models[hold] = core.Train(append(train, group[hold+1:]...), cfg)
+	})
+	return models
 }
 
 // pgoRow measures one program under all four modes.

@@ -39,14 +39,7 @@ func ProfileEstimation(ctx *Context, cfg core.Config) (*ProfileEstimationResult,
 		if err != nil {
 			return nil, err
 		}
-		for hold := range group {
-			var train []*core.ProgramData
-			for j, pd := range group {
-				if j != hold {
-					train = append(train, pd)
-				}
-			}
-			model := core.Train(train, cfg)
+		for hold, model := range looTrain(group, cfg) {
 			held := group[hold]
 			var espErr, dshcErr, uniErr, total float64
 			for i, s := range held.Sites.Sites {

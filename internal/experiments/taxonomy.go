@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/corpus"
@@ -50,26 +48,9 @@ func TaxonomyStudy(ctx *Context, genN int) (*TaxonomyResult, error) {
 
 	rows := make([]TaxonomyRow, len(entries))
 	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i], errs[i] = taxonomyRow(entries[i])
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	parallelFor(len(entries), func(i int) {
+		rows[i], errs[i] = taxonomyRow(entries[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: taxonomy: %s: %w", entries[i].Name, err)

@@ -1,10 +1,6 @@
 package neural
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
 // CSR is a batch of training inputs in compressed-sparse-row form: row k's
 // nonzero entries are Index/Value[Start[k]:Start[k+1]], with column indices
@@ -62,7 +58,7 @@ func (n *Net) forwardRow(h []float64, idx []int32, val []float64) float64 {
 	hh := n.Hidden
 	copy(h, n.B)
 	h = h[:hh]
-	csrGather(h, n.W, idx, val, hh, hh)
+	csrGather(h, n.W, idx, val, hh)
 	for i, z := range h {
 		h[i] = math.Tanh(z)
 	}
@@ -74,33 +70,21 @@ func (n *Net) forwardRow(h []float64, idx []int32, val []float64) float64 {
 // same model and TrainResult) but roughly 3× faster, because it
 //
 //   - walks only each row's nonzero columns (column-major weight layout,
-//     all hidden accumulators advanced per column);
+//     all hidden accumulators advanced per column); and
 //   - evaluates the early-stopping thresholded error inside the next
 //     epoch's forward pass instead of re-forwarding the whole dataset —
 //     the error after epoch e's update is measured with exactly the weights
-//     epoch e+1 forwards with, so the fused value is the same float; and
-//   - optionally shards the batch gradient across Config.Workers goroutines
-//     (trainShards), with every per-weight accumulation still performed in
-//     example order, so worker count never changes the result.
+//     epoch e+1 forwards with, so the fused value is the same float.
+//
+// One model trains on one goroutine. Callers that train many models
+// (cross-validation folds, leave-one-out studies) run them in parallel,
+// which keeps every core busy without sharing gradient cache lines.
 func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 	cfg = cfg.withDefaults()
 	rows := data.Rows()
 	if rows == 0 {
 		return TrainResult{}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Sharding has fixed per-epoch overhead; tiny batches stay serial.
-	if rows < 4*minShardRows {
-		workers = 1
-	}
-	var sh *shards
-	if workers > 1 {
-		sh = newShards(n, data, workers)
-	}
-
 	lr := cfg.LearnRate
 	res := TrainResult{BestThresholded: math.Inf(1)}
 	if cfg.RecordHistory {
@@ -142,37 +126,33 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 	stopped := false
 	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
 		var loss, thr, gA float64
-		if sh != nil {
-			loss, thr, gA = sh.epoch(n, t, w, gW, gB, gV)
-		} else {
-			for i := range gW {
-				gW[i] = 0
+		for i := range gW {
+			gW[i] = 0
+		}
+		for i := 0; i < hh; i++ {
+			gB[i] = 0
+			gV[i] = 0
+		}
+		for k := 0; k < rows; k++ {
+			idx, val := data.Row(k)
+			y := n.forwardRow(h, idx, val)
+			loss += w[k] * (y*(1-t[k]) + t[k]*(1-y))
+			if y > 0.5 {
+				thr += w[k] * (1 - t[k])
+			} else {
+				thr += w[k] * t[k]
 			}
+			u := 2*y - 1
+			dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - u*u)
 			for i := 0; i < hh; i++ {
-				gB[i] = 0
-				gV[i] = 0
+				hi := h[i]
+				gV[i] += dOut * hi
+				d := dOut * n.V[i] * (1 - hi*hi)
+				gB[i] += d
+				dh[i] = d
 			}
-			for k := 0; k < rows; k++ {
-				idx, val := data.Row(k)
-				y := n.forwardRow(h, idx, val)
-				loss += w[k] * (y*(1-t[k]) + t[k]*(1-y))
-				if y > 0.5 {
-					thr += w[k] * (1 - t[k])
-				} else {
-					thr += w[k] * t[k]
-				}
-				u := 2*y - 1
-				dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - u*u)
-				for i := 0; i < hh; i++ {
-					hi := h[i]
-					gV[i] += dOut * hi
-					d := dOut * n.V[i] * (1 - hi*hi)
-					gB[i] += d
-					dh[i] = d
-				}
-				csrScatter(gW, dh, idx, val, hh, hh)
-				gA += dOut
-			}
+			csrScatter(gW, dh, idx, val, hh)
+			gA += dOut
 		}
 		// The pass ran with the weights produced by the previous epoch's
 		// update, so its thresholded error is that epoch's early-stopping
@@ -223,130 +203,4 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 	}
 	n.restore(best)
 	return res
-}
-
-// minShardRows is the smallest number of rows worth a goroutine.
-const minShardRows = 64
-
-// shards holds the scratch state for the parallel two-phase epoch. Phase 1
-// computes every example's hidden activations and output deltas in parallel
-// over row shards (purely per-example work, so sharding cannot reorder any
-// sum). Phase 2 accumulates the gradients in parallel over hidden-unit
-// shards: each accumulator (one gV/gB entry, one gW column slot) is owned by
-// exactly one worker, which adds that accumulator's contributions in example
-// order — the same order the serial kernel uses. The scalar reductions
-// (loss, thresholded error, output-bias gradient) run serially in example
-// order. Worker count therefore never changes a single bit of the result.
-type shards struct {
-	data    *CSR
-	workers int
-	hbuf    []float64 // rows × hidden activations
-	dbuf    []float64 // rows × hidden deltas
-	dout    []float64 // per-row output delta
-	lossT   []float64 // per-row loss term
-	thrT    []float64 // per-row thresholded-loss term
-}
-
-func newShards(n *Net, data *CSR, workers int) *shards {
-	rows := data.Rows()
-	if max := (rows + minShardRows - 1) / minShardRows; workers > max {
-		workers = max
-	}
-	return &shards{
-		data:    data,
-		workers: workers,
-		hbuf:    make([]float64, rows*n.Hidden),
-		dbuf:    make([]float64, rows*n.Hidden),
-		dout:    make([]float64, rows),
-		lossT:   make([]float64, rows),
-		thrT:    make([]float64, rows),
-	}
-}
-
-func (s *shards) epoch(n *Net, t, w, gW, gB, gV []float64) (loss, thr, gA float64) {
-	rows := s.data.Rows()
-	hh := n.Hidden
-	var wg sync.WaitGroup
-
-	// Phase 1: per-example forwards and deltas, sharded by row range.
-	per := (rows + s.workers - 1) / s.workers
-	for ws := 0; ws < s.workers; ws++ {
-		lo, hi := ws*per, (ws+1)*per
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for k := lo; k < hi; k++ {
-				idx, val := s.data.Row(k)
-				h := s.hbuf[k*hh : (k+1)*hh]
-				y := n.forwardRow(h, idx, val)
-				s.lossT[k] = w[k] * (y*(1-t[k]) + t[k]*(1-y))
-				if y > 0.5 {
-					s.thrT[k] = w[k] * (1 - t[k])
-				} else {
-					s.thrT[k] = w[k] * t[k]
-				}
-				u := 2*y - 1
-				dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - u*u)
-				s.dout[k] = dOut
-				d := s.dbuf[k*hh : (k+1)*hh]
-				for i := 0; i < hh; i++ {
-					hi := h[i]
-					d[i] = dOut * n.V[i] * (1 - hi*hi)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Scalar reductions, serially in example order.
-	for k := 0; k < rows; k++ {
-		loss += s.lossT[k]
-		thr += s.thrT[k]
-		gA += s.dout[k]
-	}
-
-	// Phase 2: gradient accumulation, sharded by hidden-unit range.
-	hper := (hh + s.workers - 1) / s.workers
-	for ws := 0; ws < s.workers; ws++ {
-		ilo, ihi := ws*hper, (ws+1)*hper
-		if ihi > hh {
-			ihi = hh
-		}
-		if ilo >= ihi {
-			break
-		}
-		wg.Add(1)
-		go func(ilo, ihi int) {
-			defer wg.Done()
-			for i := ilo; i < ihi; i++ {
-				gB[i] = 0
-				gV[i] = 0
-			}
-			for j := 0; j < s.data.Cols; j++ {
-				base := j * hh
-				for i := ilo; i < ihi; i++ {
-					gW[base+i] = 0
-				}
-			}
-			for k := 0; k < rows; k++ {
-				dOut := s.dout[k]
-				h := s.hbuf[k*hh : (k+1)*hh]
-				d := s.dbuf[k*hh : (k+1)*hh]
-				for i := ilo; i < ihi; i++ {
-					gV[i] += dOut * h[i]
-					gB[i] += d[i]
-				}
-				idx, val := s.data.Row(k)
-				csrScatter(gW[ilo:], d[ilo:], idx, val, ihi-ilo, hh)
-			}
-		}(ilo, ihi)
-	}
-	wg.Wait()
-	return loss, thr, gA
 }

@@ -2,10 +2,10 @@
 
 package neural
 
-func csrGather(h, w []float64, idx []int32, val []float64, n, stride int) {
-	csrGatherGeneric(h, w, idx, val, n, stride)
+func csrGather(h, w []float64, idx []int32, val []float64, n int) {
+	csrGatherGeneric(h, w, idx, val, n)
 }
 
-func csrScatter(gw, dh []float64, idx []int32, val []float64, n, stride int) {
-	csrScatterGeneric(gw, dh, idx, val, n, stride)
+func csrScatter(gw, dh []float64, idx []int32, val []float64, n int) {
+	csrScatterGeneric(gw, dh, idx, val, n)
 }

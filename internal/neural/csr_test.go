@@ -9,6 +9,12 @@ import (
 // encoder produces: blocks of columns that are either entirely zero (a gated
 // feature) or entirely nonzero (an active, mean-centered one-hot block).
 func synthBatch(rows, cols, block int, seed uint64) ([][]float64, []float64, []float64) {
+	return gatedBatch(rows, cols, block, 0.3, seed)
+}
+
+// gatedBatch is synthBatch with the gate threshold exposed: a block is zero
+// when a uniform draw in (-1, 1) falls below gate.
+func gatedBatch(rows, cols, block int, gate float64, seed uint64) ([][]float64, []float64, []float64) {
 	r := newRNG(seed)
 	xs := make([][]float64, rows)
 	t := make([]float64, rows)
@@ -17,7 +23,7 @@ func synthBatch(rows, cols, block int, seed uint64) ([][]float64, []float64, []f
 	for k := range xs {
 		x := make([]float64, cols)
 		for b := 0; b < cols; b += block {
-			if r.uniform() < 0.3 {
+			if r.uniform() < gate {
 				continue // gated block: exact zeros
 			}
 			hi := b + block
@@ -112,27 +118,23 @@ func TestTrainCSRMatchesDense(t *testing.T) {
 	}
 }
 
-// TestTrainCSRWorkerInvariance: the sharded parallel epoch must produce the
-// same bits as the serial kernel for every worker count. The batch is large
-// enough (≥ 4×minShardRows) that sharding actually engages.
-func TestTrainCSRWorkerInvariance(t *testing.T) {
-	base := Config{Inputs: 30, Hidden: 6, Seed: 3, MaxEpochs: 40, Patience: 40}
-	xs, targets, w := synthBatch(4*minShardRows+19, base.Inputs, 5, 77)
-	data := NewCSRFromDense(xs, base.Inputs)
-
-	ref := New(base)
-	serialCfg := base
-	serialCfg.Workers = 1
-	rres := ref.TrainCSR(serialCfg, data, targets, w)
-
-	for _, workers := range []int{2, 3, 8} {
-		cfg := base
-		cfg.Workers = workers
-		n := New(cfg)
-		res := n.TrainCSR(cfg, data, targets, w)
-		sameNet(t, "workers", ref, n)
-		sameResult(t, "workers", rres, res)
+// TestTrainCSRMatchesDenseProductionShape runs the equivalence check at the
+// shape real folds train at: 20 hidden units, about 90 inputs of which all
+// but a few are nonzero per row, and a few hundred rows.
+func TestTrainCSRMatchesDenseProductionShape(t *testing.T) {
+	cfg := Config{Inputs: 90, Hidden: 20, Seed: 3, MaxEpochs: 60, Patience: 60}
+	xs, targets, w := gatedBatch(300, cfg.Inputs, 1, -0.86, 77)
+	data := NewCSRFromDense(xs, cfg.Inputs)
+	if nnz := float64(len(data.Index)) / float64(data.Rows()); nnz < 80 {
+		t.Fatalf("%.1f nonzeros per row, want a near-dense batch", nnz)
 	}
+
+	dense := New(cfg)
+	dres := dense.Train(cfg, xs, targets, w)
+	sparse := New(cfg)
+	sres := sparse.TrainCSR(cfg, data, targets, w)
+	sameNet(t, "model", dense, sparse)
+	sameResult(t, "stats", dres, sres)
 }
 
 func TestForwardIntoMatchesForward(t *testing.T) {
@@ -188,15 +190,14 @@ func TestHistoryGatedByConfig(t *testing.T) {
 
 // TestKernelsMatchGeneric exercises the dispatching gather/scatter kernels
 // against the portable loops across awkward shapes: vector-width remainders,
-// single lanes, and scatter into a sub-range of the hidden units (the
-// parallel phase-2 case, where n < stride).
+// and single lanes.
 func TestKernelsMatchGeneric(t *testing.T) {
 	r := newRNG(321)
-	for _, shape := range []struct{ n, stride, cols, nnz int }{
-		{1, 1, 3, 5}, {3, 3, 4, 9}, {4, 4, 6, 11}, {7, 7, 10, 25},
-		{20, 20, 80, 60}, {5, 20, 80, 60}, {6, 13, 9, 17},
+	for _, shape := range []struct{ n, cols, nnz int }{
+		{1, 3, 5}, {3, 4, 9}, {4, 6, 11}, {7, 10, 25},
+		{20, 80, 60}, {5, 80, 60}, {6, 9, 17},
 	} {
-		w := make([]float64, shape.cols*shape.stride)
+		w := make([]float64, shape.cols*shape.n)
 		for i := range w {
 			w[i] = 2*r.uniform() - 1
 		}
@@ -215,8 +216,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			h1[i] = r.uniform()
 			h2[i] = h1[i]
 		}
-		csrGather(h1, w, idx, val, shape.n, shape.stride)
-		csrGatherGeneric(h2, w, idx, val, shape.n, shape.stride)
+		csrGather(h1, w, idx, val, shape.n)
+		csrGatherGeneric(h2, w, idx, val, shape.n)
 		for i := range h1 {
 			if h1[i] != h2[i] {
 				t.Fatalf("gather %+v: h[%d] = %g vs %g", shape, i, h1[i], h2[i])
@@ -228,8 +229,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 		for i := range dh {
 			dh[i] = 2*r.uniform() - 1
 		}
-		csrScatter(g1, dh, idx, val, shape.n, shape.stride)
-		csrScatterGeneric(g2, dh, idx, val, shape.n, shape.stride)
+		csrScatter(g1, dh, idx, val, shape.n)
+		csrScatterGeneric(g2, dh, idx, val, shape.n)
 		for i := range g1 {
 			if g1[i] != g2[i] {
 				t.Fatalf("scatter %+v: g[%d] = %g vs %g", shape, i, g1[i], g2[i])

@@ -12,10 +12,11 @@
 //
 // Two training kernels share these semantics bit for bit: Train, the dense
 // reference implementation, and TrainCSR, the production kernel that runs on
-// sparse rows, fuses the early-stopping forward pass into the training pass,
-// and can shard the batch gradient across goroutines (csr.go). Every kernel
-// accumulates each weight's contributions in the same example-then-column
-// order, so a fixed seed yields identical models from either path.
+// sparse rows and fuses the early-stopping forward pass into the training
+// pass (csr.go). Both accumulate each weight's contributions in the same
+// example-then-column order, so a fixed seed yields identical models from
+// either path. A model trains on one goroutine; parallelism belongs to the
+// callers that train many models at once.
 package neural
 
 import (
@@ -46,10 +47,6 @@ type Config struct {
 	// in the TrainResult. Off by default: cross-validation runs thousands of
 	// epochs whose histories nobody reads.
 	RecordHistory bool
-	// Workers bounds the goroutines TrainCSR shards the batch gradient over
-	// (0 = GOMAXPROCS). The result is bit-identical for every worker count;
-	// see csr.go.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -385,8 +382,17 @@ func (n *Net) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &nj); err != nil {
 		return err
 	}
+	// Inputs may be 0: a model trained on no programs has an empty encoder,
+	// and its net still answers (from the biases alone).
+	if nj.Hidden < 1 || nj.Inputs < 0 {
+		return fmt.Errorf("neural: invalid dimensions %d inputs × %d hidden", nj.Inputs, nj.Hidden)
+	}
 	if len(nj.W) != nj.Hidden {
 		return fmt.Errorf("neural: weight matrix has %d rows, want %d", len(nj.W), nj.Hidden)
+	}
+	if len(nj.B) != nj.Hidden || len(nj.V) != nj.Hidden {
+		return fmt.Errorf("neural: %d biases and %d output weights, want %d each",
+			len(nj.B), len(nj.V), nj.Hidden)
 	}
 	n.Inputs = nj.Inputs
 	n.Hidden = nj.Hidden
