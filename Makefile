@@ -64,10 +64,10 @@ bench:
 # bench-hot runs just the hot-path benchmarks this repo optimizes: ESP
 # cross-validation, sparse neural training (synthetic, and one real
 # leave-one-out fold in ms/epoch), and profile collection (the micro-op
-# interpreter on espresso and tomcatv).
+# interpreter on espresso without and with edge counting, and on tomcatv).
 bench-hot:
 	$(GO) test -run XXX -benchmem -timeout 3600s \
-		-bench 'BenchmarkTable4ESPCrossVal|BenchmarkNeuralTrainSparse|BenchmarkNeuralTrainFold|BenchmarkInterpProfile|BenchmarkInterpretTomcatv' .
+		-bench 'BenchmarkTable4ESPCrossVal|BenchmarkNeuralTrainSparse|BenchmarkNeuralTrainFold|BenchmarkInterpProfile|BenchmarkInterpProfileEdges|BenchmarkInterpretTomcatv' .
 
 # perfbench checks the repo's one benchmark (BENCHMARK.json) end to end:
 # it vets and self-tests the perfbench module, which root `go test ./...`

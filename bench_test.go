@@ -422,6 +422,32 @@ func BenchmarkInterpProfile(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpProfileEdges is BenchmarkInterpProfile with edge
+// profiling on, the configuration of Figure 2, CycleCount and the
+// guided-optimization study: it adds per-block edge counting to the
+// dispatch loop and building Profile.Edges at run end.
+func BenchmarkInterpProfileEdges(b *testing.B) {
+	e, _ := corpus.ByName("espresso")
+	prog, err := e.Compile(codegen.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := e.RunConfig()
+	cfg.CollectEdges = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prof, err := interp.Run(prog, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(prof.Edges) == 0 {
+			b.Fatal("no edges profiled")
+		}
+		b.SetBytes(prof.Insns)
+	}
+}
+
 func BenchmarkESPPrediction(b *testing.B) {
 	ctx := sharedCtx(b)
 	data, err := ctx.LanguageData(ir.LangFortran, codegen.Default)

@@ -128,6 +128,25 @@ func TestCounterWarmupCheckpoints(t *testing.T) {
 	}
 }
 
+// TestCounterEveryWarmupCheckpoint crosses every budget: 1-bit misses each
+// event of an alternating stream, so checkpoint k must snapshot exactly
+// Warmups[k] mispredicts.
+func TestCounterEveryWarmupCheckpoint(t *testing.T) {
+	c := NewCounter(NewOneBit(1, nil))
+	n := Warmups[len(Warmups)-1] + 10
+	for i := int64(0); i < n; i++ {
+		c.Observe(0, i%2 == 0)
+	}
+	for k, w := range Warmups {
+		if miss, ev := c.WarmMiss(k); miss != w || ev != w {
+			t.Errorf("warmup[%d] = %d/%d, want %d/%d", w, miss, ev, w, w)
+		}
+	}
+	if c.Miss != n || c.Events != n {
+		t.Fatalf("totals %d/%d, want %d/%d", c.Miss, c.Events, n, n)
+	}
+}
+
 func TestTaxonomyHandComputed(t *testing.T) {
 	var x Taxonomy
 	x.BeginTrace(make([]ir.BranchRef, 2))

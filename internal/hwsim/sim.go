@@ -38,10 +38,10 @@ func Hints(src pgo.ProbSource, sites *features.ProgramSites, refs []ir.BranchRef
 	return hints
 }
 
-// Warmups are the cold-start checkpoint budgets: a Counter snapshots its
-// cumulative mispredicts when its event count crosses each budget, so the
-// study can report mispredict rates after 64, 256, … dynamic branches —
-// the regime where seeded counters matter most.
+// Warmups are the cold-start checkpoint budgets, in ascending order: a
+// Counter snapshots its cumulative mispredicts when its event count crosses
+// each budget, so the study can report mispredict rates after 64, 256, …
+// dynamic branches — the regime where seeded counters matter most.
 var Warmups = []int64{64, 256, 1024, 4096}
 
 // Counter simulates one predictor over a stream and accounts mispredicts,
@@ -51,8 +51,10 @@ type Counter struct {
 	Events int64
 	Miss   int64
 	// warmMiss[k] is Miss when Events first reached Warmups[k]; -1 until
-	// then (the stream may be shorter than a budget).
+	// then (the stream may be shorter than a budget). nextWarm indexes the
+	// first checkpoint not yet reached.
 	warmMiss []int64
+	nextWarm int
 }
 
 // NewCounter wraps a predictor for simulation.
@@ -71,10 +73,9 @@ func (c *Counter) Observe(site int32, taken bool) {
 	}
 	c.Pred.Update(site, taken)
 	c.Events++
-	for k, w := range Warmups {
-		if c.Events == w {
-			c.warmMiss[k] = c.Miss
-		}
+	if c.nextWarm < len(Warmups) && c.Events == Warmups[c.nextWarm] {
+		c.warmMiss[c.nextWarm] = c.Miss
+		c.nextWarm++
 	}
 }
 

@@ -24,8 +24,9 @@ type Config struct {
 	MemWords int64
 	// MaxCallDepth bounds activation nesting; 0 means DefaultMaxCallDepth.
 	MaxCallDepth int
-	// CollectEdges enables per-edge transition counting (needed only for
-	// the Figure 2 experiment; branch counts are always collected).
+	// CollectEdges enables per-edge transition counting (Profile.Edges).
+	// Figure 2, CycleCountModel and the guided-optimization study need it;
+	// branch counts and activation counts are always collected.
 	CollectEdges bool
 }
 
@@ -240,7 +241,10 @@ func (m *machine) slot(ref ir.BranchRef) int32 {
 	return s
 }
 
-// finish materializes the Profile from the dense counters.
+// finish materializes the Profile from the dense counters. Calls and edges
+// counted in micro-op images are added to the maps, not assigned, since the
+// reference loop (RunReference, and the micro-op path's out-of-fuel tail)
+// counts into the maps directly; as there, only nonzero counts get keys.
 func (m *machine) finish(ret int64) *Profile {
 	m.prof.Result = ret
 	m.prof.Insns = m.cfg.MaxInsns - m.fuel
@@ -250,6 +254,17 @@ func (m *machine) finish(ret int64) *Profile {
 		m.prof.Branches[ref] = c
 		m.prof.CondExec += c.Executed
 		m.prof.CondTaken += c.Taken
+	}
+	for _, fi := range m.ufuncs {
+		if fi.calls != 0 {
+			m.prof.Calls[fi.fn.Name] += fi.calls
+		}
+		for to, in := range fi.edgeIn {
+			for _, e := range in {
+				m.prof.Edges[EdgeRef{Func: fi.fn.Name,
+					From: fi.blockID[e.from], To: fi.blockID[to]}] += e.n
+			}
+		}
 	}
 	return m.prof
 }

@@ -92,6 +92,9 @@ type TraceAggregate struct {
 	counts []BranchCount
 	digest uint64
 	events int64
+	// begun is set by BeginTrace; refs alone cannot say so, because a
+	// program without conditional branches has an empty (nil) site table.
+	begun bool
 }
 
 // fnvOffset/fnvPrime are the 64-bit FNV-1a parameters.
@@ -105,6 +108,7 @@ func (a *TraceAggregate) BeginTrace(refs []ir.BranchRef) {
 	a.counts = make([]BranchCount, len(refs))
 	a.digest = fnvOffset
 	a.events = 0
+	a.begun = true
 }
 
 func (a *TraceAggregate) TraceBranch(site int32, taken bool) {
@@ -133,7 +137,7 @@ func (a *TraceAggregate) Digest() uint64 { return a.digest }
 // event total must equal prof.CondExec. Any divergence is an error, never a
 // silently wrong number (the CycleCountModel contract).
 func (a *TraceAggregate) Check(prof *Profile) error {
-	if a.refs == nil {
+	if !a.begun {
 		return fmt.Errorf("interp: trace check before BeginTrace")
 	}
 	if len(prof.Branches) != len(a.refs) {

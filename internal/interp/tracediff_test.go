@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/gencorpus"
 	"repro/internal/interp"
+	"repro/internal/ir"
 )
 
 // traceGenSeed pins the generated slice of the stream differential; change
@@ -113,5 +114,32 @@ func TestGenTraceStreamDifferential(t *testing.T) {
 			t.Parallel()
 			diffTraced(t, e.Name, e)
 		})
+	}
+}
+
+// TestTraceCheckBranchFree: a program with no conditional branch has an
+// empty site table, and Check must still accept its (empty) stream on both
+// traced paths.
+func TestTraceCheckBranchFree(t *testing.T) {
+	main := &ir.Func{Name: "main", Language: ir.LangC, Blocks: []*ir.Block{
+		{ID: 0, Insns: []ir.Instr{{Op: ir.OpRet}}},
+	}}
+	prog := &ir.Program{Name: "ret", Funcs: []*ir.Func{main}}
+	for name, run := range map[string]func(*ir.Program, interp.Config, interp.TraceSink) (*interp.Profile, error){
+		"RunTrace":          interp.RunTrace,
+		"RunReferenceTrace": interp.RunReferenceTrace,
+	} {
+		var agg interp.TraceAggregate
+		prof, err := run(prog, interp.Config{}, &agg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := agg.Check(prof); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	var unbegun interp.TraceAggregate
+	if unbegun.Check(&interp.Profile{}) == nil {
+		t.Error("Check passed before BeginTrace")
 	}
 }

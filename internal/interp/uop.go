@@ -233,6 +233,38 @@ type uimage struct {
 	errs    []error   // pre-built errors for uError/uFellOff
 	blockID []int     // layout index → ir block ID (edge recording)
 	blockPC []int32   // layout index → first code pc of the block
+
+	// calls and edgeIn are this run's activation and edge counts, kept here
+	// so the dispatch loop never hashes a string-keyed map; finish folds
+	// them into Profile.Calls and Profile.Edges. edgeIn[to] lists the
+	// predecessor layout indices seen entering block to (usually one to
+	// three) and is nil unless Config.CollectEdges is set.
+	calls  int64
+	edgeIn [][]edgeCount
+}
+
+// edgeCount is one entry of uimage.edgeIn: the count of transitions into a
+// block from layout index from.
+type edgeCount struct {
+	from int32
+	n    int64
+}
+
+// countEdge records one transition from layout block from to layout block to.
+// A count that overtakes its neighbour's swaps forward, so the hottest
+// predecessor tends to sit first, where callU checks it inline.
+func (fi *uimage) countEdge(from, to int) {
+	in := fi.edgeIn[to]
+	for i := range in {
+		if in[i].from == int32(from) {
+			in[i].n++
+			if i > 0 && in[i].n > in[i-1].n {
+				in[i], in[i-1] = in[i-1], in[i]
+			}
+			return
+		}
+	}
+	fi.edgeIn[to] = append(in, edgeCount{from: int32(from), n: 1})
 }
 
 // buildUImages lowers every function of the program.
@@ -512,6 +544,9 @@ func (m *machine) lowerFunc(fi *uimage, fidx map[string]int) {
 		fi.blockID[i] = b.ID
 	}
 	fi.blockPC = make([]int32, len(f.Blocks))
+	if edges {
+		fi.edgeIn = make([][]edgeCount, len(f.Blocks))
+	}
 	var fixups []ufixup
 	var jmpBlocks [][]int32 // jump-table entries as block indices, patched below
 
@@ -754,7 +789,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		return 0, 0, ErrStack
 	}
 	regs[ir.RegSP] = sp
-	m.prof.Calls[fi.fn.Name]++
+	fi.calls++
 
 	mem := m.mem
 	counts := m.counts
@@ -783,8 +818,13 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeEdge:
 			bi := int(u.aux >> 32)
 			if prevBlk >= 0 {
-				m.prof.Edges[EdgeRef{Func: fi.fn.Name,
-					From: fi.blockID[prevBlk], To: fi.blockID[bi]}]++
+				// The first predecessor is checked inline: callU is too
+				// large for the compiler to inline countEdge here.
+				if in := fi.edgeIn[bi]; len(in) > 0 && in[0].from == int32(prevBlk) {
+					in[0].n++
+				} else {
+					fi.countEdge(prevBlk, bi)
+				}
 			}
 			prevBlk = bi
 			if fuel < u.imm {

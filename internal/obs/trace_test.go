@@ -18,7 +18,10 @@ func TestTraceSpanOrdering(t *testing.T) {
 	end = tr.StartSpan(StageCompile)
 	time.Sleep(time.Millisecond)
 	end()
-	mid := tr.Start.Add(5 * time.Millisecond)
+	// Anchor the externally timed span at the compile span's end, so its
+	// offset does not depend on how long the sleeps above really took.
+	compile := tr.Spans[1]
+	mid := tr.Start.Add(time.Duration(compile.StartUS+compile.DurUS) * time.Microsecond)
 	tr.AddSpan(StageForward, mid, 2*time.Millisecond)
 	tr.SetStatus(200)
 	tr.SetError(errors.New("boom"))
